@@ -14,6 +14,12 @@ quantity is already a literal:
 * per-block cycle/instruction costs are pre-summed and flushed in
   batches.
 
+A block ends at a control transfer, at a store to peripheral MMIO,
+before a static leader, and before every pc that is a multiple of
+:data:`BLOCK_ALIGN` (:func:`_ends_block` is the one definition).  Block
+lengths and cycle spans are tabulated per program before any code is
+generated, so a block is compiled only when it is about to run.
+
 Equivalence contract (checked byte-for-byte by ``tests/test_backends.py``
 and the CI cross-check):
 
@@ -50,26 +56,31 @@ and the CI cross-check):
   so generated code synchronizes ``pc``/``cycles``/``instr_count``
   exactly before them.  Power events and monitor sampling only happen
   between slices, and a slice never executes more instructions than its
-  budget: oversized blocks fall back to single-stepping, so
-  slice-boundary timing is identical to the interpreter's.
+  budget: when fewer instructions are left than the block at ``pc``
+  holds, a truncated block of exactly that many runs instead (compiled
+  once per ``(pc, left)``), so slice-boundary timing is identical to the
+  interpreter's without single-stepping the slice tail.
 
 Block functions close over nothing picklable-hostile on the program:
-compiled blocks live in a module-level cache keyed by ``id(program)``
-with a weakref guard, so :class:`LinkedProgram` instances remain
-picklable for campaign worker pools.
+every compiled block — full, suffix or truncated — lives in one
+module-level cache keyed by ``id(program)`` with a weakref guard, so
+:class:`LinkedProgram` instances remain picklable for campaign worker
+pools.
 
 Because blocks are compiled lazily *per entry pc*, a ``pc`` that lands
-mid-block — a JIT-checkpoint restore, or a
+mid-block — a JIT-checkpoint restore, a
 :meth:`~repro.runtime.machine.Machine.restore` from a
 :class:`~repro.runtime.machine.MachineSnapshot` taken between block
 boundaries (how ``repro.exhaustive`` forks injections off the golden
-trace) — simply becomes the leader of a fresh suffix block; no
-alignment with the static block leaders is required.
+trace), or a single step demoted by a peripheral event — becomes the
+leader of a suffix block.  The alignment ends that suffix at the next
+aligned pc, where execution rejoins blocks already cached.
 """
 
 from __future__ import annotations
 
 import weakref
+from types import CodeType, FunctionType
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import MachineFault, SimulationError
@@ -78,11 +89,14 @@ from ..isa.operands import Imm, PReg, trunc_div, trunc_rem
 from ..isa.program import PERIPH_CONTROL_SYMBOLS, LinkedProgram
 from .machine import Machine
 
-#: Maximum instructions per compiled block.  Bounded so that the
-#: budget-respecting fallback ("block longer than the remaining slice
-#: budget → single-step") degrades at most the tail of a slice, and so
-#: a block is never larger than the simulator's default quantum.
-MAX_BLOCK_LEN = 32
+#: Block alignment.  Besides the static leaders, every absolute pc that
+#: is a multiple of this constant starts a block, so no block is longer
+#: than it.  A mid-block entry (a JIT restore, a snapshot fork, a demoted
+#: step) therefore compiles at most a short suffix up to the next aligned
+#: pc and then rejoins blocks that are already cached, and the truncated
+#: blocks that finish a slice exactly on its budget number fewer than
+#: ``BLOCK_ALIGN`` per pc.
+BLOCK_ALIGN = 8
 
 _MASK = 0xFFFFFFFF
 _SIGN = 0x80000000
@@ -114,27 +128,43 @@ def _operand(operand) -> str:
     raise MachineFault(f"bad operand {operand!r}")
 
 
-class _BlockCompiler:
-    """Compiles the block starting at one pc into a Python closure."""
+def _ends_block(program: LinkedProgram, leaders: frozenset,
+                pc: int) -> bool:
+    """Does a block that reaches ``pc`` end with that instruction?
 
-    def __init__(self, program: LinkedProgram, start: int,
-                 leaders: frozenset) -> None:
+    The one definition of block extent; the length table built from it
+    is read by both the fit check and code generation.  A block ends at
+    a control transfer, at a store
+    to peripheral MMIO (it can re-arm a device or unmask an interrupt, so
+    the hub must see the interpreter's boundary), before a static leader,
+    before an aligned pc, and at the end of the program.
+    """
+    instr = program.instrs[pc]
+    after = pc + 1
+    return (instr.op in BLOCK_ENDERS
+            or (instr.op is Opcode.ST and instr.sym is not None
+                and instr.sym.name in PERIPH_CONTROL_SYMBOLS)
+            or after >= len(program.instrs) or after in leaders
+            or after % BLOCK_ALIGN == 0)
+
+
+class _BlockCompiler:
+    """Compiles the ``n`` instructions starting at one pc into a closure."""
+
+    def __init__(self, program: LinkedProgram, start: int, n: int,
+                 env: Dict[str, object]) -> None:
         self.program = program
         self.start = start
-        self.leaders = leaders
+        self.n = n
         self.lines: List[str] = []
-        self.env: Dict[str, object] = {
-            "MachineFault": MachineFault,
-            "trunc_div": trunc_div,
-            "trunc_rem": trunc_rem,
-        }
+        # The globals of every block of the program (one dict, not one
+        # per block); MARK instructions are bound into it by name.
+        self.env = env
         # Cycles/instructions accumulated since the last flush; traps and
         # out-of-block calls flush so observers see exact interpreter
         # accounting (cost lands *after* an instruction dispatches).
         self.pending_cycles = 0
         self.pending_count = 0
-        self.total_cycles = 0
-        self.count = 0
 
     # -- emission helpers ----------------------------------------------
     def emit(self, line: str, depth: int = 1) -> None:
@@ -184,39 +214,25 @@ class _BlockCompiler:
 
     # -- per-opcode code generation ------------------------------------
     def compile(self) -> CompiledBlock:
-        program = self.program
-        instrs = program.instrs
-        pc = self.start
-        while True:
+        instrs = self.program.instrs
+        end = self.start + self.n
+        cycles = 0
+        for pc in range(self.start, end):
             instr = instrs[pc]
             self.instruction(pc, instr)
             self.pending_cycles += instr.cycles
-            self.total_cycles += instr.cycles
             self.pending_count += 1
-            self.count += 1
-            if instr.op in BLOCK_ENDERS:
-                break
-            if (instr.op is Opcode.ST and instr.sym is not None
-                    and instr.sym.name in PERIPH_CONTROL_SYMBOLS):
-                # A store to peripheral MMIO can re-arm a device or
-                # unmask an interrupt: end the block so the hub sees the
-                # same boundary the interpreter does.
-                self.emit(f"m.pc = {pc + 1}")
-                pc += 1
-                break
-            pc += 1
-            if (pc >= len(instrs) or pc in self.leaders
-                    or self.count >= MAX_BLOCK_LEN):
-                self.emit(f"m.pc = {pc}")
-                break
+            cycles += instr.cycles
+        if instr.op not in BLOCK_ENDERS:
+            self.emit(f"m.pc = {end}")
         self.flush()
-        body = "\n".join(self.lines) or "    pass"
+        body = "\n".join(self.lines)
         source = f"def __tblock(m, regs, mem, wear):\n{body}\n"
-        code = compile(source, f"<threaded-block@{self.start}>", "exec")
-        namespace = dict(self.env)
-        exec(code, namespace)  # noqa: S102 - trusted generated code
-        return CompiledBlock(namespace["__tblock"], self.count,
-                             self.total_cycles, self.start)
+        module = compile(source, f"<threaded-block@{self.start}>", "exec")
+        (code,) = [const for const in module.co_consts
+                   if isinstance(const, CodeType)]
+        return CompiledBlock(FunctionType(code, self.env), self.n, cycles,
+                             self.start)
 
     def instruction(self, pc: int, instr: Instr) -> None:  # noqa: C901
         op = instr.op
@@ -364,14 +380,48 @@ _COMPARES = {
 
 
 class _ProgramBlocks:
-    """Lazily compiled blocks of one program, indexed by start pc."""
+    """Everything compiled for one program, plus the static block extents.
 
-    __slots__ = ("blocks", "leaders")
+    ``spans[pc]`` is the length of the block that starts at ``pc`` and
+    ``cum_cycles[pc]`` the cycles of all instructions before ``pc``, both
+    known before any code generation, so a block is compiled only once it
+    is certain to run.  ``blocks[pc]`` holds the full block at ``pc``;
+    ``tails[(pc, n)]`` holds its first ``n < spans[pc]`` instructions, run
+    when only ``n`` instructions are left in a slice.
+    """
+
+    __slots__ = ("spans", "cum_cycles", "blocks", "tails", "env")
 
     def __init__(self, program: LinkedProgram) -> None:
-        self.blocks: List[Optional[CompiledBlock]] = [None] * len(
-            program.instrs)
-        self.leaders = program.block_leaders()
+        leaders = program.block_leaders()
+        size = len(program.instrs)
+        spans = [1] * size
+        for pc in range(size - 2, -1, -1):
+            if not _ends_block(program, leaders, pc):
+                spans[pc] = spans[pc + 1] + 1
+        cum_cycles = [0]
+        for instr in program.instrs:
+            cum_cycles.append(cum_cycles[-1] + instr.cycles)
+        self.spans = spans
+        self.cum_cycles = cum_cycles
+        self.blocks: List[Optional[CompiledBlock]] = [None] * size
+        self.tails: Dict[Tuple[int, int], CompiledBlock] = {}
+        self.env: Dict[str, object] = {
+            "MachineFault": MachineFault,
+            "trunc_div": trunc_div,
+            "trunc_rem": trunc_rem,
+        }
+
+    def compile(self, program: LinkedProgram, pc: int,
+                n: int) -> CompiledBlock:
+        """Compile and cache the first ``n`` instructions of the block at
+        ``pc`` (the whole block when ``n == spans[pc]``)."""
+        block = _BlockCompiler(program, pc, n, self.env).compile()
+        if n == self.spans[pc]:
+            self.blocks[pc] = block
+        else:
+            self.tails[pc, n] = block
+        return block
 
 
 #: Per-program block caches, keyed by ``id(program)``.  Closures are not
@@ -397,9 +447,15 @@ def compile_block(program: LinkedProgram, start: int) -> CompiledBlock:
     cache = _blocks_for(program)
     block = cache.blocks[start]
     if block is None:
-        block = _BlockCompiler(program, start, cache.leaders).compile()
-        cache.blocks[start] = block
+        block = cache.compile(program, start, cache.spans[start])
     return block
+
+
+def compiled_blocks(program: LinkedProgram) -> List[CompiledBlock]:
+    """Every block compiled so far for ``program``, full or truncated."""
+    cache = _blocks_for(program)
+    return ([block for block in cache.blocks if block is not None]
+            + list(cache.tails.values()))
 
 
 class ThreadedBackend:
@@ -430,45 +486,48 @@ class ThreadedBackend:
                         break
                     machine.step()
                 return machine.cycles - cycles_start, None
-            cache = _blocks_for(machine.program)
-            blocks = cache.blocks
-            leaders = cache.leaders
             program = machine.program
-            size = len(program.instrs)
+            cache = _blocks_for(program)
+            spans = cache.spans
+            cum_cycles = cache.cum_cycles
+            blocks = cache.blocks
+            tails = cache.tails
+            size = len(spans)
             hub = machine._periph
-            executed = 0
-            while executed < budget:
+            left = budget
+            while left > 0:
                 if machine.halted or not machine.powered:
                     break
                 if hook is not None and not hook.fired:
                     # Armed fault hook: step exactly until it fires.
                     machine.step()
-                    executed += 1
+                    left -= 1
                     continue
                 pc = machine.pc
                 if not 0 <= pc < size:
                     raise MachineFault(
                         f"program counter out of range: {pc}")
-                block = blocks[pc]
-                if block is None:
-                    block = _BlockCompiler(program, pc, leaders).compile()
-                    blocks[pc] = block
-                if block.n > budget - executed:
-                    # Never overshoot the slice budget: monitor/power
-                    # sampling at slice boundaries must stay exact.
-                    machine.step()
-                    executed += 1
-                    continue
-                if hub is not None and hub.event_before(machine,
-                                                        block.cycles):
+                n = spans[pc]
+                if n <= left:
+                    block = blocks[pc]
+                else:
+                    # Never overshoot the slice budget (monitor and power
+                    # sampling at slice edges must stay exact): run the
+                    # block's first ``left`` instructions instead.
+                    n = left
+                    block = tails.get((pc, n))
+                if hub is not None and hub.event_before(
+                        machine, cum_cycles[pc + n] - cum_cycles[pc]):
                     # A device fire, delivery, handler return, or heal
                     # falls inside this block's cycle span: single-step
                     # so it lands at the interpreter's exact boundary.
                     machine.step()
-                    executed += 1
+                    left -= 1
                     continue
+                if block is None:
+                    block = cache.compile(program, pc, n)
                 block.fn(machine, machine.regs, machine.mem, machine.wear)
-                executed += block.n
+                left -= n
                 if hub is not None:
                     hub.on_boundary(machine)
             return machine.cycles - cycles_start, None

@@ -3,15 +3,16 @@
 The engine drives a :class:`~repro.runtime.machine.Machine` plus a
 crash-consistency runtime the same way ``tests/test_crash_consistency.py``
 does, but events land at *exact cycle boundaries* under either execution
-backend: execution advances in bulk slices of
-``(target_cycle - cycles) // max_instr_cycles`` instructions — which can
-never overshoot the target cycle — then single-steps the residue, so the
-first instruction boundary at or past the event cycle is found
-identically by the interpreter and the threaded backend.  Everything the
-engine itself does (announce, power-cycle, arm faults, pend vectors)
-happens between slices on architectural state both backends share, which
-is what makes torture fingerprints backend-portable and schedules
-replayable bit-for-bit.
+backend: execution advances in slices of
+``max(1, (target_cycle - cycles) // max_instr_cycles)`` instructions —
+which can never overshoot the target cycle — that shrink to a single
+instruction near it, so the first instruction boundary at or past the
+event cycle is found identically by the interpreter and the threaded
+backend (which runs even a one-instruction slice as a compiled block).
+Everything the engine itself does (announce, power-cycle, arm faults,
+pend vectors) happens between slices on architectural state both
+backends share, which is what makes torture fingerprints
+backend-portable and schedules replayable bit-for-bit.
 
 A run produces a :class:`TortureOutcome`: the oracle violations (see
 :mod:`repro.torture.oracles`), a content-digest fingerprint over the

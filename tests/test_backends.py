@@ -12,6 +12,10 @@ claim, stated as asserts:
 * a fault-injection slice classified identically by both backends;
 * block-compiler edge cases (fallthrough, self-loop, branch-to-entry,
   mid-block resume, budget exactness) on hand-written assembly;
+* slice edges: every budget up to twice the block alignment leaves the
+  interpreter's exact state after every slice without a single call to
+  ``Machine.step``, truncated tail blocks never exceed their budget, and
+  mid-block suffixes end at the next aligned pc;
 * trap equivalence — message, pc, cycles, instr_count — for division by
   zero and out-of-bounds access;
 * the ``Machine.attach`` hook API and its deprecation shims.
@@ -40,7 +44,7 @@ from repro.runtime import (
     ThreadedBackend,
     backend_for,
 )
-from repro.runtime.threaded import compile_block
+from repro.runtime.threaded import BLOCK_ALIGN, compile_block, compiled_blocks
 from repro.workloads import (
     REACTIVE_WORKLOADS,
     WORKLOAD_NAMES,
@@ -205,6 +209,31 @@ loop:
 """
 
 
+#: Straight-line code long enough for several aligned blocks.
+STRAIGHT_TEXT = ".func main\n" + "".join(
+    f"    add R4, R4, #{i}\n" for i in range(3 * BLOCK_ALIGN + 3)) \
+    + "    out R4\n    halt\n"
+
+
+def _arch_state(machine):
+    return (machine.pc, machine.cycles, machine.instr_count,
+            list(machine.regs), list(machine.mem), list(machine.wear))
+
+
+@pytest.fixture
+def steps_of(monkeypatch):
+    """``steps_of(machine)``: how often ``Machine.step`` ran on it."""
+    calls = {}
+    step = Machine.step
+
+    def counted(machine):
+        calls.setdefault(id(machine), [machine, 0])[1] += 1
+        return step(machine)
+
+    monkeypatch.setattr(Machine, "step", counted)
+    return lambda machine: calls.get(id(machine), [machine, 0])[1]
+
+
 class TestBlockCompiler:
     def test_block_ends_before_leader(self):
         """Fallthrough: a block must stop at the next branch target."""
@@ -268,23 +297,28 @@ entry:
         assert threaded.regs == interp.regs
         assert threaded.cycles == interp.cycles
 
-    def test_budget_exactness(self):
-        """A slice never executes more instructions than its budget."""
-        interp, threaded = _pair(LOOP_TEXT)
+    def test_budget_exactness(self, steps_of):
+        """Every budget up to twice the block alignment, on LOOP_TEXT and
+        a registry kernel per scheme: a slice never executes more than
+        its budget, leaves the interpreter's exact state, and never
+        falls back to ``Machine.step``."""
+        from repro.core import compile_scheme
+
+        programs = {"loop": link(parse_program(LOOP_TEXT))}
+        for scheme in ("nvp", "ratchet", "gecko"):
+            programs[scheme] = compile_scheme(source("blink"), scheme).linked
         reference = backend_for("interpreter")
         backend = backend_for("threaded")
-        for budget in (1, 2, 3):
-            while not threaded.halted:
-                before_i = interp.instr_count
-                before_t = threaded.instr_count
-                rc, rf = reference.run_slice(interp, budget)
-                tc, tf = backend.run_slice(threaded, budget)
-                assert (rc, rf) == (tc, tf)
-                assert threaded.instr_count - before_t <= budget
-                assert threaded.instr_count == interp.instr_count
-                assert threaded.cycles == interp.cycles
-                assert threaded.pc == interp.pc
-            interp, threaded = _pair(LOOP_TEXT)
+        for case, program in programs.items():
+            for budget in range(1, 2 * BLOCK_ALIGN + 1):
+                interp, threaded = Machine(program), Machine(program)
+                while not interp.halted:
+                    assert reference.run_slice(interp, budget) \
+                        == backend.run_slice(threaded, budget)
+                    assert _arch_state(threaded) == _arch_state(interp), \
+                        (case, budget)
+                assert threaded.halted
+                assert steps_of(threaded) == 0, (case, budget)
 
     def test_mid_block_power_failure(self):
         """Power dying mid-slice stops execution at the block boundary.
@@ -305,6 +339,49 @@ entry:
         threaded.powered = True
         _drain(backend, threaded)
         assert threaded.halted
+
+
+# ----------------------------------------------------------------------
+# Slice edges: truncated tail blocks and aligned block boundaries.
+# ----------------------------------------------------------------------
+class TestSliceEdges:
+    def test_short_budget_compiles_no_longer_block(self):
+        """A slice shorter than the block at ``pc`` compiles only a
+        truncated block of exactly the budget."""
+        for budget in range(1, BLOCK_ALIGN):
+            program = link(parse_program(STRAIGHT_TEXT))
+            machine = Machine(program)
+            backend_for("threaded").run_slice(machine, budget)
+            blocks = compiled_blocks(program)
+            assert [(b.start, b.n) for b in blocks] == [(0, budget)]
+            assert machine.pc == machine.instr_count == budget
+
+    def test_mid_block_suffix_ends_at_aligned_pc(self):
+        """A mid-block entry compiles a suffix up to the next aligned pc,
+        then reuses the block already cached there."""
+        program = link(parse_program(STRAIGHT_TEXT))
+        backend = backend_for("threaded")
+        _drain(backend, Machine(program))
+        cached = {b.start: b for b in compiled_blocks(program)}
+        assert sorted(cached) == list(range(0, len(program.instrs),
+                                            BLOCK_ALIGN))
+        entry = BLOCK_ALIGN + 3
+        machine = Machine(program)
+        machine.pc = entry
+        backend.run_slice(machine, 1_000_000)
+        blocks = compiled_blocks(program)
+        (suffix,) = [b for b in blocks if b.start not in cached]
+        assert (suffix.start, suffix.n) == (entry, BLOCK_ALIGN - 3)
+        assert len(blocks) == len(cached) + 1
+        after = {b.start: b for b in blocks}
+        assert after[2 * BLOCK_ALIGN] is cached[2 * BLOCK_ALIGN]
+
+    def test_block_ends_before_aligned_pc(self):
+        program = link(parse_program(STRAIGHT_TEXT))
+        for start in range(len(program.instrs)):
+            end = start + compile_block(program, start).n
+            assert end == min((start // BLOCK_ALIGN + 1) * BLOCK_ALIGN,
+                              len(program.instrs))
 
 
 # ----------------------------------------------------------------------
