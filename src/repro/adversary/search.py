@@ -19,8 +19,6 @@ the infeasible bulk is cut early.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -35,6 +33,7 @@ from ..eval.resilient import RetryPolicy
 from ..eval.common import VictimConfig
 from ..obs import ADVERSARY_CANDIDATE, ADVERSARY_ROUND, Observability
 from ..runtime import SimResult
+from ..store.digest import content_digest
 from .frontier import FrontierPoint, ParetoFrontier
 from .objectives import (
     AttackScores,
@@ -146,15 +145,12 @@ class AdversaryResult:
         return point.damage if point is not None else 0.0
 
     def fingerprint(self) -> str:
-        """sha256 over the canonical JSON of evaluations + frontier —
-        equal between serial and pooled runs of the same seed."""
-        payload = {
+        """Content digest of evaluations + frontier — equal between
+        serial and pooled runs of the same seed."""
+        return content_digest({
             "evaluations": [e.to_dict() for e in self.evaluations],
             "frontier": self.frontier.to_dict(),
-        }
-        canonical = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        })
 
 
 class AdversarySearch:

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from ..isa.instructions import BINOPS, Instr, Opcode, UNOPS
-from ..isa.operands import Imm, VReg, trunc_div, trunc_rem, wrap32
+from ..isa.instructions import ALU, BINOPS, TRAPPING_OPS, Instr, Opcode, UNOPS
+from ..isa.operands import Imm, VReg
 from ..ir.cfg import Function, Module, remove_unreachable
 from ..ir.liveness import liveness
 
@@ -98,44 +98,18 @@ def _evaluate(instr: Instr, values: Dict[VReg, object]) -> object:
         return instr.a.value
     if op is Opcode.MOV:
         return _operand_value(instr.a, values)
-    if op is Opcode.NEG:
-        a = _operand_value(instr.a, values)
-        return wrap32(-a) if isinstance(a, int) else _BOTTOM
-    if op is Opcode.NOT:
-        a = _operand_value(instr.a, values)
-        return wrap32(~a) if isinstance(a, int) else _BOTTOM
-    if op in BINOPS:
-        a = _operand_value(instr.a, values)
-        b = _operand_value(instr.b, values)
-        if isinstance(a, int) and isinstance(b, int):
-            return _fold(op, a, b)
+    alu = ALU.get(op)
+    if alu is None:
         return _BOTTOM
-    return _BOTTOM
-
-
-def _fold(op: Opcode, a: int, b: int) -> object:
-    if op in (Opcode.DIV, Opcode.REM) and b == 0:
-        return _BOTTOM  # preserve the trap
-    table = {
-        Opcode.ADD: lambda: a + b,
-        Opcode.SUB: lambda: a - b,
-        Opcode.MUL: lambda: a * b,
-        Opcode.DIV: lambda: trunc_div(a, b),
-        Opcode.REM: lambda: trunc_rem(a, b),
-        Opcode.AND: lambda: a & b,
-        Opcode.OR: lambda: a | b,
-        Opcode.XOR: lambda: a ^ b,
-        Opcode.SHL: lambda: a << (b & 31),
-        Opcode.SHR: lambda: (a & 0xFFFFFFFF) >> (b & 31),
-        Opcode.SAR: lambda: a >> (b & 31),
-        Opcode.SLT: lambda: int(a < b),
-        Opcode.SLE: lambda: int(a <= b),
-        Opcode.SEQ: lambda: int(a == b),
-        Opcode.SNE: lambda: int(a != b),
-        Opcode.SGT: lambda: int(a > b),
-        Opcode.SGE: lambda: int(a >= b),
-    }
-    return wrap32(table[op]())
+    a = _operand_value(instr.a, values)
+    if not isinstance(a, int):
+        return _BOTTOM
+    if op not in BINOPS:
+        return alu.fn(a)
+    b = _operand_value(instr.b, values)
+    if not isinstance(b, int) or (b == 0 and op in TRAPPING_OPS):
+        return _BOTTOM  # unknown, or a trap to preserve
+    return alu.fn(a, b)
 
 
 def _propagate_constants(function: Function, stats: Dict[str, int]) -> int:

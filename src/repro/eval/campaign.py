@@ -47,7 +47,7 @@ from ..obs import (
 )
 from ..runtime import IntermittentSimulator, Machine, SimResult, runtime_for
 from ..store.digest import jsonable as _jsonable
-from ..store.digest import run_digest
+from ..store.digest import content_digest, run_digest
 from .common import REMOTE_DISTANCE_M, REMOTE_TX_DBM, VictimConfig
 from .resilient import (
     ExecStats,
@@ -501,10 +501,8 @@ class CampaignResult:
         return total
 
     def metrics_fingerprint(self) -> str:
-        """sha256 over the canonical JSON of :meth:`aggregate_metrics`."""
-        canonical = json.dumps(self.aggregate_metrics(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        """Content digest of :meth:`aggregate_metrics`."""
+        return content_digest(self.aggregate_metrics())
 
     def to_dict(self) -> dict:
         return {

@@ -37,7 +37,6 @@ timeouts are only enforced on the pool path.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import multiprocessing
 import os
@@ -307,20 +306,6 @@ class RunJournal:
         return entries
 
 
-def _default_digest(index: int, payload: Any) -> str:
-    """Canonical JSON content digest (:func:`repro.store.digest.
-    task_digest`): stable across processes and dict construction order,
-    unlike the ``repr()`` hashing it replaced."""
-    return task_digest(index, payload)
-
-
-def _legacy_repr_digest(index: int, payload: Any) -> str:
-    """The pre-store ``repr()``-based digest, kept only so journals
-    written before the canonical digest landed stay resumable (the
-    executor falls back to this key on a canonical-digest miss)."""
-    return hashlib.sha256(repr((index, payload)).encode()).hexdigest()
-
-
 # ----------------------------------------------------------------------
 # Worker-side plumbing (module-level: must pickle under ``spawn``).
 # ----------------------------------------------------------------------
@@ -398,7 +383,7 @@ class ResilientExecutor:
                  start_method: Optional[str] = None,
                  journal: Optional[RunJournal] = None,
                  resume: Optional[Dict[str, dict]] = None,
-                 digest_fn: Callable[[int, Any], str] = _default_digest,
+                 digest_fn: Callable[[int, Any], str] = task_digest,
                  encode: Callable[[Any], Any] = lambda value: value,
                  decode: Callable[[Any], Any] = lambda value: value,
                  stats: Optional[ExecStats] = None) -> None:
@@ -428,12 +413,6 @@ class ResilientExecutor:
         for index, payload in tasks:
             digest = self.digest_fn(index, payload)
             entry = self.resume.get(digest)
-            if entry is None and self.resume \
-                    and self.digest_fn is _default_digest:
-                # Compatibility read path: journals written before the
-                # canonical digest used repr() hashing.
-                entry = self.resume.get(_legacy_repr_digest(index,
-                                                            payload))
             if entry is not None:
                 results[index] = self._from_journal(index, entry)
                 self.stats.journal_skipped += 1

@@ -116,7 +116,10 @@ class FaultSpec:
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # Every field is a scalar: a shallow copy is what asdict returns,
+        # without its per-field deepcopy (maps hold ~10^5 specs).
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":

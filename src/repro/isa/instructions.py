@@ -25,9 +25,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .operands import Imm, Label, PReg, Sym, VReg
+from .operands import (
+    MASK32,
+    Imm,
+    Label,
+    PReg,
+    Sym,
+    VReg,
+    trunc_div,
+    trunc_rem,
+    wrap32,
+)
 
 Operand = Union[VReg, PReg, Imm]
 RegOperand = Union[VReg, PReg]
@@ -141,6 +151,54 @@ CYCLES: Dict[Opcode, int] = {
     Opcode.OUT: 24, Opcode.SENSE: 24,
     Opcode.CKPT: 3, Opcode.MARK: 6,
     Opcode.NOP: 1,
+}
+
+
+class AluOp(NamedTuple):
+    """One ALU opcode's semantics, in the two forms its users need."""
+
+    #: ``fn(a, b)`` (``fn(a)`` for NEG/NOT): the signed-32 result.
+    fn: Callable[..., int]
+    #: The same result as a Python expression over ``{a}``/``{b}``.
+    template: str
+    #: Whether ``template`` still needs the signed-32 wrap applied.
+    wraps: bool
+
+
+#: The ALU: every opcode in :data:`BINOPS` plus NEG and NOT.  Threaded
+#: code generation, recovery-block execution and both constant folders
+#: derive from this table; :meth:`repro.runtime.machine.Machine.step`
+#: spells the semantics out independently, as the reference the tests
+#: hold this table to.  DIV and REM raise ``ZeroDivisionError`` on a zero
+#: divisor: each user keeps its own trap.
+ALU: Dict[Opcode, AluOp] = {
+    Opcode.ADD: AluOp(lambda a, b: wrap32(a + b), "{a} + {b}", True),
+    Opcode.SUB: AluOp(lambda a, b: wrap32(a - b), "{a} - {b}", True),
+    Opcode.MUL: AluOp(lambda a, b: wrap32(a * b), "{a} * {b}", True),
+    Opcode.DIV: AluOp(trunc_div, "trunc_div({a}, {b})", False),
+    Opcode.REM: AluOp(trunc_rem, "trunc_rem({a}, {b})", False),
+    Opcode.AND: AluOp(lambda a, b: wrap32(a & b), "{a} & {b}", True),
+    Opcode.OR: AluOp(lambda a, b: wrap32(a | b), "{a} | {b}", True),
+    Opcode.XOR: AluOp(lambda a, b: wrap32(a ^ b), "{a} ^ {b}", True),
+    Opcode.SHL: AluOp(lambda a, b: wrap32(a << (b & 31)),
+                      "{a} << ({b} & 31)", True),
+    Opcode.SHR: AluOp(lambda a, b: wrap32((a & MASK32) >> (b & 31)),
+                      f"(({{a}}) & {MASK32}) >> ({{b}} & 31)", True),
+    Opcode.SAR: AluOp(lambda a, b: wrap32(a >> (b & 31)),
+                      "{a} >> ({b} & 31)", True),
+    Opcode.NEG: AluOp(lambda a: wrap32(-a), "-{a}", True),
+    Opcode.NOT: AluOp(lambda a: wrap32(~a), "~{a}", True),
+    # ``1 if … else 0`` keeps a comparison an int, not a bool.
+    Opcode.SLT: AluOp(lambda a, b: int(a < b), "1 if {a} < {b} else 0", False),
+    Opcode.SLE: AluOp(lambda a, b: int(a <= b), "1 if {a} <= {b} else 0",
+                      False),
+    Opcode.SEQ: AluOp(lambda a, b: int(a == b), "1 if {a} == {b} else 0",
+                      False),
+    Opcode.SNE: AluOp(lambda a, b: int(a != b), "1 if {a} != {b} else 0",
+                      False),
+    Opcode.SGT: AluOp(lambda a, b: int(a > b), "1 if {a} > {b} else 0", False),
+    Opcode.SGE: AluOp(lambda a, b: int(a >= b), "1 if {a} >= {b} else 0",
+                      False),
 }
 
 

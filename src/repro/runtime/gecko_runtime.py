@@ -78,9 +78,6 @@ class GeckoRuntime:
             self.obs = obs
             self._jit.attach(obs=obs)
 
-    def attach_obs(self, obs) -> None:
-        self.attach(obs=obs)
-
     # -- mode helpers ---------------------------------------------------
     @staticmethod
     def mode(machine: Machine) -> int:
@@ -103,10 +100,6 @@ class GeckoRuntime:
         """Checkpoint-fault hook, forwarded to the inner JIT protocol so
         injected image corruption lands on the same code path as NVP's."""
         return self._jit.fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, hook) -> None:
-        self._jit.fault_hook = hook
 
     # -- simulator interface -------------------------------------------
     def monitor_enabled(self, machine: Machine) -> bool:

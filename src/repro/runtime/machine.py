@@ -25,7 +25,6 @@ Peripheral semantics chosen for deterministic crash-consistency testing:
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -118,17 +117,6 @@ class MachineSnapshot:
     marks_executed: int
     pending_rcolor: FrozenSet[int]
     wear: Tuple[int, ...]
-
-
-
-
-def _deprecated_assign(name: str) -> None:
-    warnings.warn(
-        f"direct assignment to Machine.{name} is deprecated; use "
-        f"Machine.attach({name}=...) so every execution backend sees the "
-        f"hook",
-        DeprecationWarning, stacklevel=3,
-    )
 
 
 class Machine:
@@ -228,20 +216,10 @@ class Machine:
         """The registered fault hook (see :meth:`attach`)."""
         return self._fault_hook
 
-    @fault_hook.setter
-    def fault_hook(self, hook) -> None:
-        _deprecated_assign("fault_hook")
-        self._fault_hook = hook
-
     @property
     def obs(self):
         """The registered observability bundle (see :meth:`attach`)."""
         return self._obs
-
-    @obs.setter
-    def obs(self, bundle) -> None:
-        _deprecated_assign("obs")
-        self._obs = bundle
 
     # ------------------------------------------------------------------
     # Memory helpers.
@@ -525,32 +503,16 @@ class Machine:
         Args:
             max_steps: instruction-count budget.
             backend: an :class:`~repro.runtime.backend.ExecutionBackend`
-                (or backend name) to run under; ``None`` keeps the
-                classic per-instruction interpreter loop.
+                (or backend name) to run under; ``None`` means the
+                reference interpreter.
         """
-        if backend is not None:
-            from .backend import backend_for
+        from .backend import backend_for, drain
 
-            resolved = backend_for(backend) if isinstance(backend, str) \
-                else backend
-            remaining = max_steps
-            while remaining > 0 and not self.halted:
-                executed_before = self.instr_count
-                _, fault = resolved.run_slice(self, remaining)
-                if fault is not None:
-                    raise fault
-                executed = self.instr_count - executed_before
-                if executed == 0 and not self.halted:
-                    break
-                remaining -= executed
-            if self.halted:
-                return StepResult.HALTED
-            raise MachineFault(
-                f"program did not halt within {max_steps} steps")
-        for _ in range(max_steps):
-            if self.halted:
-                return StepResult.HALTED
-            self.step()
+        if backend is None or isinstance(backend, str):
+            backend = backend_for(backend or "interpreter")
+        fault = drain(self, backend, max_steps)
+        if fault is not None:
+            raise fault
         if self.halted:
             return StepResult.HALTED
         raise MachineFault(f"program did not halt within {max_steps} steps")

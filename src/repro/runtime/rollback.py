@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..errors import SimulationError
-from ..isa.instructions import CYCLES, Instr, Opcode
-from ..isa.operands import Imm, MASK32, NUM_REGS, PReg, trunc_div, trunc_rem, wrap32
+from ..isa.instructions import ALU, BINOPS, CYCLES, TRAPPING_OPS, Opcode
+from ..isa.operands import Imm, NUM_REGS, PReg, wrap32
 from ..isa.program import LinkedProgram
 from ..core.plans import RegionPlan, SliceExec, SlotLoad
 from .machine import _UNSET, Machine
@@ -77,13 +77,15 @@ def execute_slice(machine: Machine, action: SliceExec) -> int:
             env[instr.dst.index] = value(instr.a)
         elif op is Opcode.MOV:
             env[instr.dst.index] = value(instr.a)
-        elif op is Opcode.NEG:
-            env[instr.dst.index] = wrap32(-value(instr.a))
-        elif op is Opcode.NOT:
-            env[instr.dst.index] = wrap32(~value(instr.a))
-        else:
+        elif op not in ALU:
+            raise SimulationError(f"illegal recovery-block opcode {op}")
+        elif op in BINOPS:
             a, b = value(instr.a), value(instr.b)
-            env[instr.dst.index] = _binop(op, a, b)
+            if b == 0 and op in TRAPPING_OPS:
+                raise SimulationError("recovery block division by zero")
+            env[instr.dst.index] = ALU[op].fn(a, b)
+        else:
+            env[instr.dst.index] = ALU[op].fn(value(instr.a))
         cycles += instr.cycles
     if action.target not in env:
         raise SimulationError(
@@ -91,48 +93,6 @@ def execute_slice(machine: Machine, action: SliceExec) -> int:
         )
     machine.regs[action.target] = wrap32(env[action.target])
     return cycles
-
-
-def _binop(op: Opcode, a: int, b: int) -> int:
-    if op is Opcode.ADD:
-        return wrap32(a + b)
-    if op is Opcode.SUB:
-        return wrap32(a - b)
-    if op is Opcode.MUL:
-        return wrap32(a * b)
-    if op is Opcode.DIV:
-        if b == 0:
-            raise SimulationError("recovery block division by zero")
-        return trunc_div(a, b)
-    if op is Opcode.REM:
-        if b == 0:
-            raise SimulationError("recovery block division by zero")
-        return trunc_rem(a, b)
-    if op is Opcode.AND:
-        return wrap32(a & b)
-    if op is Opcode.OR:
-        return wrap32(a | b)
-    if op is Opcode.XOR:
-        return wrap32(a ^ b)
-    if op is Opcode.SHL:
-        return wrap32(a << (b & 31))
-    if op is Opcode.SHR:
-        return wrap32((a & MASK32) >> (b & 31))
-    if op is Opcode.SAR:
-        return wrap32(a >> (b & 31))
-    if op is Opcode.SLT:
-        return int(a < b)
-    if op is Opcode.SLE:
-        return int(a <= b)
-    if op is Opcode.SEQ:
-        return int(a == b)
-    if op is Opcode.SNE:
-        return int(a != b)
-    if op is Opcode.SGT:
-        return int(a > b)
-    if op is Opcode.SGE:
-        return int(a >= b)
-    raise SimulationError(f"illegal recovery-block opcode {op}")
 
 
 class RollbackRuntime:
@@ -150,9 +110,6 @@ class RollbackRuntime:
         """Register runtime hooks (mirrors :meth:`Machine.attach`)."""
         if obs is not _UNSET:
             self.obs = obs
-
-    def attach_obs(self, obs) -> None:
-        self.attach(obs=obs)
 
     # -- simulator interface -------------------------------------------
     def monitor_enabled(self, machine: Machine) -> bool:

@@ -187,9 +187,7 @@ class IntermittentSimulator:
                 tracer.subscribe(obs.bus)
             self._prof = _maybe_prof(obs.profiler)
             machine.attach(obs=obs, profiler=self._prof)
-            attach = getattr(runtime, "attach_obs", None)
-            if attach is not None:
-                attach(obs)
+            runtime.attach(obs=obs)
             power.attach_obs(obs)
         #: Fault injector (:mod:`repro.faultsim`): wires itself into the
         #: machine/runtime hook points and filters monitor events.

@@ -10,7 +10,10 @@ quantity is already a literal:
 * register indices and immediates are inlined (no ``_value`` dispatch),
 * symbol base addresses are resolved (a static ``LD``/``ST`` offset
   becomes one constant list index, bounds-checked at compile time),
-* 32-bit wrapping is inlined as integer arithmetic,
+* ALU expressions come from the :data:`~repro.isa.instructions.ALU`
+  table, with 32-bit wrapping inlined as integer arithmetic (the
+  interpreter spells the same semantics out independently and stays the
+  reference this backend is checked against),
 * per-block cycle/instruction costs are pre-summed and flushed in
   batches.
 
@@ -43,7 +46,7 @@ and the CI cross-check):
   skipping the call is observationally identical).  A hook without a
   ``fired`` attribute, or an attached profiler (whose per-opcode cycle
   attribution is inherently per-instruction), pins the whole slice to
-  the reference path.
+  :meth:`~repro.runtime.backend.InterpreterBackend.run_slice`.
 * **Peripherals** — for programs linked with the :mod:`repro.periph`
   control block, a store to peripheral MMIO ends its block, the hub's
   boundary hook runs after every block, and a block whose cycle span
@@ -84,9 +87,17 @@ from types import CodeType, FunctionType
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import MachineFault, SimulationError
-from ..isa.instructions import BLOCK_ENDERS, Instr, Opcode
+from ..isa.instructions import (
+    ALU,
+    BINOPS,
+    BLOCK_ENDERS,
+    TRAPPING_OPS,
+    Instr,
+    Opcode,
+)
 from ..isa.operands import Imm, PReg, trunc_div, trunc_rem
 from ..isa.program import PERIPH_CONTROL_SYMBOLS, LinkedProgram
+from .backend import backend_for
 from .machine import Machine
 
 #: Block alignment.  Besides the static leaders, every absolute pc that
@@ -239,55 +250,19 @@ class _BlockCompiler:
         emit = self.emit
         if op is Opcode.LI or op is Opcode.MOV:
             emit(f"regs[{instr.dst.index}] = {_operand(instr.a)}")
-        elif op is Opcode.ADD:
-            expr = f"{_operand(instr.a)} + {_operand(instr.b)}"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.SUB:
-            expr = f"{_operand(instr.a)} - {_operand(instr.b)}"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.MUL:
-            expr = f"{_operand(instr.a)} * {_operand(instr.b)}"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.DIV or op is Opcode.REM:
-            fn = "trunc_div" if op is Opcode.DIV else "trunc_rem"
-            divisor = instr.b
-            if isinstance(divisor, Imm) and divisor.value != 0:
-                emit(f"regs[{instr.dst.index}] = "
-                     f"{fn}({_operand(instr.a)}, {divisor.value})")
-            else:
-                emit(f"_b = {_operand(divisor)}")
+        elif op in ALU:
+            alu = ALU[op]
+            a = _operand(instr.a)
+            b = _operand(instr.b) if op in BINOPS else None
+            if op in TRAPPING_OPS and not (isinstance(instr.b, Imm)
+                                           and instr.b.value != 0):
+                emit(f"_b = {b}")
                 emit("if _b == 0:")
                 self.trap(pc, repr(f"pc={pc}: division by zero"), depth=2)
-                emit(f"regs[{instr.dst.index}] = "
-                     f"{fn}({_operand(instr.a)}, _b)")
-        elif op is Opcode.AND:
-            expr = f"{_operand(instr.a)} & {_operand(instr.b)}"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.OR:
-            expr = f"{_operand(instr.a)} | {_operand(instr.b)}"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.XOR:
-            expr = f"{_operand(instr.a)} ^ {_operand(instr.b)}"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.SHL:
-            expr = f"{_operand(instr.a)} << ({_operand(instr.b)} & 31)"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.SHR:
-            expr = (f"(({_operand(instr.a)}) & {_MASK}) >> "
-                    f"({_operand(instr.b)} & 31)")
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.SAR:
-            expr = f"{_operand(instr.a)} >> ({_operand(instr.b)} & 31)"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.NEG:
-            emit(f"regs[{instr.dst.index}] = {_wrap('-' + _operand(instr.a))}")
-        elif op is Opcode.NOT:
-            emit(f"regs[{instr.dst.index}] = {_wrap('~' + _operand(instr.a))}")
-        elif op in _COMPARES:
-            # ``1 if … else 0`` keeps the result an int (not bool), like
-            # the interpreter's ``int(a < b)``.
-            emit(f"regs[{instr.dst.index}] = 1 if {_operand(instr.a)} "
-                 f"{_COMPARES[op]} {_operand(instr.b)} else 0")
+                b = "_b"
+            expr = alu.template.format(a=a, b=b)
+            emit(f"regs[{instr.dst.index}] = "
+                 f"{_wrap(expr) if alu.wraps else expr}")
         elif op is Opcode.LD:
             address = self.addr_expr(pc, instr)
             emit(f"regs[{instr.dst.index}] = mem[{address}]")
@@ -371,12 +346,6 @@ class _BlockCompiler:
             emit(f"mem[_a] = {_wrap(source)}")
             emit("wear[_a] += 1")
         emit("m.ckpt_stores_executed += 1")
-
-
-_COMPARES = {
-    Opcode.SLT: "<", Opcode.SLE: "<=", Opcode.SEQ: "==",
-    Opcode.SNE: "!=", Opcode.SGT: ">", Opcode.SGE: ">=",
-}
 
 
 class _ProgramBlocks:
@@ -481,11 +450,7 @@ class ThreadedBackend:
                 # Profiler attribution is per-instruction, and a hook
                 # without a one-shot ``fired`` flag may act on any step:
                 # the whole slice runs on the reference path.
-                for _ in range(budget):
-                    if machine.halted:
-                        break
-                    machine.step()
-                return machine.cycles - cycles_start, None
+                return backend_for("interpreter").run_slice(machine, budget)
             program = machine.program
             cache = _blocks_for(program)
             spans = cache.spans

@@ -84,14 +84,39 @@ def jsonable(value: Any) -> Any:
     return f"{_TAG}r{type(value).__qualname__}:{value!r}"
 
 
+def _folds_to_itself(value: Any) -> bool:
+    """Is ``value`` plain JSON data that :func:`jsonable` leaves equal?
+
+    True for str-keyed dicts, lists, tuples and primitives with no
+    tagged string anywhere; such data serializes to the same bytes with
+    or without folding, so large maps skip the folded copy.
+    """
+    kind = type(value)
+    if kind is str:
+        return not value.startswith(_TAG)
+    if kind is dict:
+        for key, item in value.items():
+            if (type(key) is not str or key.startswith(_TAG)
+                    or not _folds_to_itself(item)):
+                return False
+        return True
+    if kind is list or kind is tuple:
+        for item in value:
+            if not _folds_to_itself(item):
+                return False
+        return True
+    return kind is int or kind is float or kind is bool or value is None
+
+
 def canonical_json(value: Any) -> str:
     """The canonical serialization: sorted keys, compact separators.
 
     Two structurally equal values — regardless of dict insertion order
     or tuple-vs-list spelling — produce byte-identical output.
     """
-    return json.dumps(jsonable(value), sort_keys=True,
-                      separators=(",", ":"))
+    if not _folds_to_itself(value):
+        value = jsonable(value)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def content_digest(value: Any) -> str:

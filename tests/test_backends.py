@@ -427,7 +427,7 @@ class TestTrapEquivalence:
 
 
 # ----------------------------------------------------------------------
-# The attach() hook API and its deprecation shims.
+# The attach() hook API.
 # ----------------------------------------------------------------------
 class _Hook:
     """Minimal fault-hook shape: fired flag + a no-op before_step."""
@@ -463,14 +463,13 @@ class TestAttachAPI:
         machine.attach(fault_hook=None)
         assert machine.fault_hook is None
 
-    def test_direct_assignment_warns_but_works(self):
+    def test_direct_assignment_raises(self):
         machine = _machine(LOOP_TEXT)
-        hook = _Hook()
-        with pytest.warns(DeprecationWarning, match="attach"):
-            machine.fault_hook = hook
-        assert machine.fault_hook is hook
-        with pytest.warns(DeprecationWarning, match="attach"):
+        with pytest.raises(AttributeError):
+            machine.fault_hook = _Hook()
+        with pytest.raises(AttributeError):
             machine.obs = Observability.disabled()
+        assert machine.fault_hook is None and machine.obs is None
 
     def test_both_backends_honor_attached_hook(self):
         for name in BACKEND_NAMES:

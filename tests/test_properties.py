@@ -7,16 +7,26 @@
 * energy-model invariants.
 """
 
+import math
+from fractions import Fraction
+from typing import List
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.compiler import optimize
 from repro.core import compile_gecko, compile_ratchet
-from repro.isa import Opcode, link, parse_program
+from repro.errors import MachineFault, SemanticError, SimulationError
+from repro.core.plans import SliceExec
+from repro.isa import Instr, Opcode, PReg, VReg, li, link, parse_program
+from repro.isa import instructions as isa
+from repro.lang import compile_source, lowering
 from repro.isa.operands import trunc_div, trunc_rem, wrap32
 from repro.runtime import (
     GeckoRuntime,
     Machine,
     RollbackRuntime,
+    execute_slice,
     run_to_completion,
 )
 
@@ -26,42 +36,132 @@ int32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
 # ----------------------------------------------------------------------
 # ALU semantics vs a Python model.
 # ----------------------------------------------------------------------
+def _c_quotient(a: int, b: int) -> int:
+    """C's truncating quotient, exact (no floating point)."""
+    return math.trunc(Fraction(a, b))
+
+
+#: The independent oracle every ALU implementation is held to: the
+#: interpreter, the threaded backend, recovery-block execution and both
+#: constant folders.  Unary opcodes ignore ``b``.
 _ALU_MODEL = {
     "add": lambda a, b: wrap32(a + b),
     "sub": lambda a, b: wrap32(a - b),
     "mul": lambda a, b: wrap32(a * b),
+    "div": lambda a, b: wrap32(_c_quotient(a, b)),
+    "rem": lambda a, b: wrap32(a - b * _c_quotient(a, b)),
     "and": lambda a, b: wrap32(a & b),
     "or": lambda a, b: wrap32(a | b),
     "xor": lambda a, b: wrap32(a ^ b),
     "shl": lambda a, b: wrap32(a << (b & 31)),
     "shr": lambda a, b: wrap32((a & 0xFFFFFFFF) >> (b & 31)),
     "sar": lambda a, b: wrap32(a >> (b & 31)),
+    "neg": lambda a, b: wrap32(-a),
+    "not": lambda a, b: wrap32(~a),
     "slt": lambda a, b: int(a < b),
-    "sge": lambda a, b: int(a >= b),
+    "sle": lambda a, b: int(a <= b),
     "seq": lambda a, b: int(a == b),
+    "sne": lambda a, b: int(a != b),
+    "sgt": lambda a, b: int(a > b),
+    "sge": lambda a, b: int(a >= b),
 }
 
 
-def _run_alu(op: str, a: int, b: int) -> int:
+def _machine_alu(op: str, a: int, b: int, backend: str) -> List[int]:
+    """Run ``op`` on the machine with ``b`` as a register and (binary ops)
+    as an immediate; returns every result."""
+    if Opcode(op) in isa.BINOPS:
+        body = (f"{op} R6, R4, R5\n    out R6\n"
+                f"    {op} R7, R4, #{b}\n    out R7")
+    else:
+        body = f"{op} R6, R4\n    out R6"
     asm = f"""
 .data
     s 1
 .func main
     li R4, #{a}
     li R5, #{b}
-    {op} R6, R4, R5
-    out R6
+    {body}
     halt
 """
     machine = Machine(link(parse_program(asm)))
-    machine.run()
-    return machine.committed_out[0]
+    machine.run(backend=backend)
+    return machine.committed_out
 
 
-@settings(max_examples=120, deadline=None)
+def _run_alu(op: str, a: int, b: int) -> int:
+    return _machine_alu(op, a, b, "interpreter")[0]
+
+
+_HALT_ONLY = ".data\n    s 1\n.func main\n    halt\n"
+
+
+def _slice_alu(op: Opcode, a: int, b: int) -> int:
+    machine = Machine(link(parse_program(_HALT_ONLY)))
+    instrs = [li(PReg(4), a), li(PReg(5), b),
+              Instr(op, dst=PReg(6), a=PReg(4),
+                    b=PReg(5) if op in isa.BINOPS else None)]
+    execute_slice(machine, SliceExec(target=6, instrs=instrs))
+    return machine.regs[6]
+
+
+def _ir_fold(op: Opcode, a: int, b: int) -> int:
+    instr = Instr(op, dst=VReg(2), a=VReg(0),
+                  b=VReg(1) if op in isa.BINOPS else None)
+    return optimize._evaluate(instr, {VReg(0): a, VReg(1): b})
+
+
+#: MiniC spelling of each opcode the front end folds (``>>`` is SAR; MiniC
+#: has no logical shift).
+_MINIC = {opcode: token for token, opcode in lowering._BINOP_OPCODES.items()}
+_MINIC.update({opcode: token
+               for token, (opcode, b) in lowering._UNARY_OPCODES.items()
+               if b is None})
+
+
+def _minic_fold(op: Opcode, a: int, b: int) -> int:
+    token = _MINIC[op]
+    expr = f"({a}) {token} ({b})" if op in isa.BINOPS else f"{token}({a})"
+    module = compile_source(f"void main() {{ out({expr}); }}")
+    first = next(instr for _, _, instr
+                 in module.functions["main"].instructions())
+    assert first.op is Opcode.LI, first  # folded at lowering
+    return first.a.value
+
+
+def test_alu_table_covers_binops_neg_not():
+    assert set(isa.ALU) == isa.BINOPS | {Opcode.NEG, Opcode.NOT}
+    assert set(_ALU_MODEL) == {op.value for op in isa.ALU}
+
+
+@settings(max_examples=200, deadline=None)
 @given(op=st.sampled_from(sorted(_ALU_MODEL)), a=int32, b=int32)
 def test_alu_matches_model(op, a, b):
-    assert _run_alu(op, a, b) == _ALU_MODEL[op](a, b)
+    opcode = Opcode(op)
+    if opcode in isa.TRAPPING_OPS and b == 0:
+        b = 1  # see test_zero_divisor_traps_in_every_consumer
+    want = _ALU_MODEL[op](a, b)
+    results = {backend: _machine_alu(op, a, b, backend)
+               for backend in ("interpreter", "threaded")}
+    expected = [want, want] if opcode in isa.BINOPS else [want]
+    assert results == {"interpreter": expected, "threaded": expected}
+    assert _slice_alu(opcode, a, b) == want
+    assert _ir_fold(opcode, a, b) == want
+    if opcode in _MINIC:
+        assert _minic_fold(opcode, a, b) == want
+
+
+@pytest.mark.parametrize("op", ["div", "rem"])
+def test_zero_divisor_traps_in_every_consumer(op):
+    opcode = Opcode(op)
+    for backend in ("interpreter", "threaded"):
+        with pytest.raises(MachineFault, match="division by zero"):
+            _machine_alu(op, 7, 0, backend)
+    with pytest.raises(SimulationError, match="division by zero"):
+        _slice_alu(opcode, 7, 0)
+    assert not isinstance(_ir_fold(opcode, 7, 0), int)  # left unfolded
+    with pytest.raises(SemanticError, match="constant division by zero"):
+        _minic_fold(opcode, 7, 0)
 
 
 @settings(max_examples=60, deadline=None)

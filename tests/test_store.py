@@ -14,16 +14,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.eval import (
     AttackSpec,
     CampaignRunner,
     ExperimentSpec,
-    ResilientExecutor,
     RunJournal,
     VictimConfig,
 )
-from repro.eval.resilient import ExecStats, _legacy_repr_digest
 from repro.store import (
     ResultStore,
     StoreError,
@@ -105,6 +104,20 @@ class TestDigest:
         assert jsonable("plain") == "plain"
         assert jsonable("\x00x") != "\x00x"
         assert content_digest("\x00x") != content_digest("x")
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.recursive(
+        st.none() | st.booleans() | st.integers()
+        | st.floats(allow_nan=False) | st.text(alphabet="\x00ab", max_size=3),
+        lambda children: st.lists(children, max_size=3)
+        | st.tuples(children, children)
+        | st.dictionaries(st.text(alphabet="\x00ab", max_size=3)
+                          | st.integers(-2, 2), children, max_size=3),
+        max_leaves=12))
+    def test_canonical_json_is_the_folded_serialization(self, value):
+        # Plain data skips the folded copy; the bytes must not change.
+        assert canonical_json(value) == json.dumps(
+            jsonable(value), sort_keys=True, separators=(",", ":"))
 
     def test_run_digest_ignores_the_campaign_name(self):
         # Same sweep under two campaign names → identical run digests,
@@ -480,19 +493,6 @@ class TestJournalHardening:
             entries = RunJournal.load(path)
         assert set(entries) == {"aa"}
 
-    def test_legacy_repr_digest_journals_still_resume(self, tmp_path):
-        # A journal written by the old repr()-hashing executor must
-        # still satisfy resume under the canonical default digest.
-        tasks = [(0, {"a": 1}), (1, {"a": 2})]
-        resume = {_legacy_repr_digest(i, p): {"digest": "x",
-                                             "result": p["a"] * 2}
-                  for i, p in tasks}
-        stats = ExecStats()
-        results = ResilientExecutor(_double, resume=resume,
-                                    stats=stats).run(tasks)
-        assert stats.journal_skipped == 2
-        assert [r.result for r in results] == [2, 4]
-
 
 class TestJournalImport:
     def test_import_round_trip(self, tmp_path):
@@ -511,10 +511,6 @@ class TestJournalImport:
         assert not store.contains("cc" * 16)
         # Re-import is idempotent (content addressing).
         assert store.import_journal(path) == 0
-
-
-def _double(payload):
-    return payload["a"] * 2
 
 
 # ----------------------------------------------------------------------

@@ -175,6 +175,28 @@ class TestEngine:
         with pytest.raises(TortureError):
             run_schedule(ratchet, bad)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "torture's reg_flip XORs the raw register without the signed-32 "
+        "wrap FaultInjector applies; fixing it changes the recorded "
+        "torture digests, so it waits for a digest re-recording"))
+    def test_bit31_reg_flip_stays_signed32(self, blink_target,
+                                           monkeypatch):
+        out_of_range = []
+        step = Machine.step
+
+        def checked_step(machine):
+            cost = step(machine)
+            out_of_range.extend(value for value in machine.regs
+                                if not -2**31 <= value < 2**31)
+            return cost
+
+        monkeypatch.setattr(Machine, "step", checked_step)
+        schedule = TortureSchedule(events=(TortureEvent(
+            kind="data_fault", at_cycle=100, model="reg_flip", reg=15,
+            bit=31),))
+        assert run_schedule(blink_target, schedule).triggered
+        assert out_of_range == []
+
 
 # ----------------------------------------------------------------------
 # Shrinker.
