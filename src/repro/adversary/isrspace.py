@@ -16,9 +16,9 @@ AdversarySearch` and every strategy run over it unchanged — pass an
 :class:`IsrPhaseSpace` as the ``space`` argument.
 
 :func:`isr_attack_space` builds the space from a victim's own golden
-trace (:func:`repro.periph.attack.isr_trace`): one stable-power iteration
-is profiled, its arrivals tiled across the attack window at the profiled
-iteration period — the cadence model an attacker builds from a bench
+run (:func:`repro.runtime.golden.capture_trace`): one stable-power
+iteration is profiled, its arrivals tiled across the attack window at the
+profiled iteration period — the cadence model an attacker builds from a bench
 capture.  :func:`search_isr_defense` cross-evaluates NVP vs GECKO, each
 scheme searched with a space profiled from its *own* binary (the
 schemes' instrumentation shifts the cadence).
@@ -35,8 +35,8 @@ import random
 from ..emi import AttackSchedule, EMISource, RemotePath
 from ..energy.harvester import dbm_to_watts
 from ..eval.campaign import AttackSpec, CampaignRunner, PathSpec
-from ..periph.attack import MCU_CLOCK_HZ, isr_arrivals, isr_trace, \
-    phase_locked_windows
+from ..periph.attack import MCU_CLOCK_HZ, isr_arrivals, phase_locked_windows
+from ..runtime.golden import capture_trace
 from .search import AdversaryResult, AdversarySearch, adversary_victim
 from .space import AdversaryError, Bounds
 
@@ -192,8 +192,8 @@ def isr_attack_space(linked, duration_s: float,
     inter-arrival gap; width spans up to one gap, so even the widest
     burst stays interrupt-scale rather than window-scale.
     """
-    spans, total_cycles = isr_trace(linked)
-    base = isr_arrivals(spans, total_cycles, vector=vector)
+    trace = capture_trace(linked)
+    base = isr_arrivals(trace.isr_spans, trace.golden_cycles, vector=vector)
     if not base:
         raise AdversaryError(
             "golden trace delivered no interrupts"
@@ -202,7 +202,7 @@ def isr_attack_space(linked, duration_s: float,
     if window_cycles <= 0:
         raise AdversaryError("attack window must be positive")
     # Tile one iteration's arrival pattern across the whole window.
-    period = total_cycles / window_cycles  # iteration length, as a fraction
+    period = trace.golden_cycles / window_cycles  # iteration, as a fraction
     arrivals: List[float] = []
     tile = 0
     while len(arrivals) < MAX_ARRIVALS:

@@ -216,7 +216,7 @@ def _parse_attack(text: Optional[str]) -> AttackSchedule:
         raise SystemExit("error: --attack expects MHZ,DBM (e.g. 27,35)")
 
 
-def _build_sim(args, program, tracer=None, obs=None) -> IntermittentSimulator:
+def _build_sim(args, program, obs=None) -> IntermittentSimulator:
     """One simulator from the shared simulate/trace/profile arguments."""
     return IntermittentSimulator(
         machine=Machine(program.linked),
@@ -227,7 +227,6 @@ def _build_sim(args, program, tracer=None, obs=None) -> IntermittentSimulator:
         device_profile=device(args.device),
         monitor_kind=args.monitor,
         config=SimConfig(quantum=64, sleep_min_s=1e-3),
-        tracer=tracer,
         obs=obs,
         backend=args.backend,
     )
@@ -242,10 +241,11 @@ def cmd_simulate(args) -> int:
     from .obs import Observability, write_perfetto
 
     program = _compile(args)
-    tracer = Tracer(sample_period_s=args.duration / 400) if args.trace \
+    obs = Observability.for_tracing() if args.trace or args.trace_out \
         else None
-    obs = Observability.for_tracing() if args.trace_out else None
-    sim = _build_sim(args, program, tracer=tracer, obs=obs)
+    tracer = Tracer(sample_period_s=args.duration / 400).subscribe(obs.bus) \
+        if args.trace else None
+    sim = _build_sim(args, program, obs=obs)
     power = sim.power
     result = sim.run(args.duration)
     print(f"completions:          {result.completions}")

@@ -11,9 +11,10 @@ every classification in the content-addressed result store.
 
 * :mod:`~repro.exhaustive.space`  — :class:`ExhaustiveSpec` and the
   canonical enumeration of the complete space;
-* :mod:`~repro.exhaustive.trace`  — :class:`GoldenTrace`: one reference
-  run with per-step pcs/regions and periodic
-  :class:`~repro.runtime.machine.MachineSnapshot` captures;
+* :mod:`~repro.exhaustive.trace`  — the shared golden run
+  (:func:`repro.runtime.golden.capture_trace`) with periodic
+  :class:`~repro.runtime.machine.MachineSnapshot` captures, and the
+  forks' shared step budget;
 * :mod:`~repro.exhaustive.reduce` — liveness pruning, dynamic
   next-access analysis, and equivalence-class collapsing;
 * :mod:`~repro.exhaustive.mapper` — the forking simulator, resilient

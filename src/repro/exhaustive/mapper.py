@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..eval.campaign import AttackSpec, CampaignRunner, ExperimentSpec, PathSpec
 from ..eval.resilient import ResilientExecutor, RetryPolicy
-from ..faultsim.classify import Outcome, classify
-from ..faultsim.explorer import EXCERPT_EVENTS
+from ..faultsim.classify import Outcome
+from ..faultsim.explorer import classify_outcomes
 from ..faultsim.models import FaultSimError, FaultSpec
 from ..faultsim.report import VulnerabilityMap
 from ..ir.liveness import linked_liveness
@@ -37,7 +37,7 @@ from ..store.digest import content_digest, run_digest
 from .reduce import ReducedPlan, RepKey, naive_step_plan, reduce_step_model
 from .report import ExhaustiveResult, ReductionStats
 from .space import ExhaustiveSpec, enumerate_time_model
-from .trace import GoldenTrace, capture_trace
+from .trace import GoldenTrace, capture_trace, fork_budget
 
 #: Representatives per executor task: large enough to amortize dispatch,
 #: small enough that a pool keeps every worker busy.
@@ -98,7 +98,7 @@ def classify_fork(linked, backend, trace: GoldenTrace, fault: FaultSpec,
     if not from_reset:
         machine.restore(trace.snapshot_before(fault.trigger_step))
     machine.attach(fault_hook=FaultInjector(fault))
-    exc = drain(machine, backend, trace.budget - machine.instr_count)
+    exc = drain(machine, backend, fork_budget(trace) - machine.instr_count)
     if exc is not None:
         return Outcome.BRICK.value, f"{type(exc).__name__}: {exc}"
     if not machine.halted:
@@ -218,18 +218,9 @@ def _run_time_models(spec: ExhaustiveSpec, models: Tuple[str, ...],
     stats.campaign_store_hits = campaign.stats.store_hits
     stats.campaign_executed = campaign.stats.store_misses \
         if runner.store is not None else len(flat)
-    classified: Dict[FaultSpec, Tuple[str, Optional[str], List[dict]]] = {}
-    for outcome in campaign.outcomes:
-        fault = outcome.params["fault"]
-        if outcome.baseline is None:
-            raise FaultSimError(
-                f"golden reference failed: "
-                f"{campaign.baselines[0].error or 'missing baseline'}")
-        events = outcome.result.events[-EXCERPT_EVENTS:] \
-            if outcome.result is not None else []
-        verdict = classify(outcome.result, outcome.baseline, outcome.error,
-                           error_kind=outcome.error_kind)
-        classified[fault] = (verdict.value, outcome.error, events)
+    classified = {fault: (verdict.value, error, events)
+                  for fault, verdict, error, events
+                  in classify_outcomes(campaign)}
     return {model: [(fault,) + classified[fault] for fault in plans[model]]
             for model in models}
 
@@ -285,8 +276,8 @@ def exhaustive_map(spec: ExhaustiveSpec, workers: int = 1,
             reps.extend(plan.representatives.items())
         stats.representatives = len(reps)
         verdicts = _simulate_representatives(
-            spec, reps, prog_digest, trace.budget, workers, naive, store,
-            policy, stats)
+            spec, reps, prog_digest, fork_budget(trace), workers, naive,
+            store, policy, stats)
 
     time_records = {}
     if time_models:

@@ -23,7 +23,7 @@ enumerated step-model injection:
    representative — injected immediately before the shared read — is
    simulated; its outcome is attributed to every member.  Soundness
    requires the absolute step budget every fork runs under to be shared
-   (see :class:`~repro.exhaustive.trace.GoldenTrace.budget`), so hang
+   (see :func:`~repro.exhaustive.trace.fork_budget`), so hang
    classification agrees across a class by construction.
 
 ``instr_skip`` gets the static layer only: skipping a ``NOP``, or a pure
@@ -127,7 +127,7 @@ def reduce_reg_flips(spec: ExhaustiveSpec, trace: GoldenTrace,
               "overwritten_pruned": 0, "class_attributed": 0,
               "representatives": 0}
     resolved: Dict[Tuple[int, int], Tuple[str, Optional[int]]] = {}
-    for fault in enumerate_step_model(spec, REG_FLIP, trace.profile):
+    for fault in enumerate_step_model(spec, REG_FLIP, trace):
         step, reg = fault.trigger_step, fault.target
         verdict = resolved.get((step, reg))
         if verdict is None:
@@ -149,7 +149,7 @@ def reduce_reg_flips(spec: ExhaustiveSpec, trace: GoldenTrace,
             continue
         key: RepKey = ("flip", reg, read_step, fault.bit)
         if key not in reps:
-            region = f"region:{trace.profile.region_at(read_step)}"
+            region = f"region:{trace.region_at(read_step)}"
             reps[key] = FaultSpec(model=REG_FLIP, trigger_step=read_step,
                                   target=reg, bit=fault.bit, region=region)
             layers["representatives"] += 1
@@ -166,7 +166,7 @@ def reduce_instr_skips(spec: ExhaustiveSpec, trace: GoldenTrace,
     entries: List[Tuple[FaultSpec, Optional[RepKey]]] = []
     reps: Dict[RepKey, FaultSpec] = {}
     layers = {"dead_skip_pruned": 0, "representatives": 0}
-    for fault in enumerate_step_model(spec, INSTR_SKIP, trace.profile):
+    for fault in enumerate_step_model(spec, INSTR_SKIP, trace):
         pc = trace.pcs[fault.trigger_step]
         instr = program.instrs[pc]
         dead_def = (instr.op in PURE_SKIP_OPS
@@ -189,8 +189,7 @@ def naive_step_plan(spec: ExhaustiveSpec, model: str,
     representative, simulated from reset."""
     entries: List[Tuple[FaultSpec, Optional[RepKey]]] = []
     reps: Dict[RepKey, FaultSpec] = {}
-    for i, fault in enumerate(enumerate_step_model(spec, model,
-                                                   trace.profile)):
+    for i, fault in enumerate(enumerate_step_model(spec, model, trace)):
         key: RepKey = ("naive", model, i)
         reps[key] = fault
         entries.append((fault, key))

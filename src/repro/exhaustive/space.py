@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from ..eval.common import VictimConfig
-from ..faultsim.explorer import ExecutionProfile, fault_victim
+from ..faultsim.explorer import fault_victim
 from ..faultsim.models import (
     CKPT_CORRUPT,
     CKPT_TRUNCATE,
@@ -33,6 +33,7 @@ from ..faultsim.models import (
     image_word_label,
 )
 from ..isa.operands import NUM_REGS
+from ..runtime.golden import GoldenTrace
 
 #: Default snapshot cadence (steps between golden-state captures).
 DEFAULT_SNAPSHOT_STRIDE = 64
@@ -106,12 +107,12 @@ class ExhaustiveSpec:
 
 
 def enumerate_step_model(spec: ExhaustiveSpec, model: str,
-                         profile: ExecutionProfile) -> Iterator[FaultSpec]:
+                         trace: GoldenTrace) -> Iterator[FaultSpec]:
     """Every injection of one step-triggered model, in canonical order."""
-    steps = spec.step_range(profile.total_steps)
+    steps = spec.step_range(trace.golden_steps)
     if model == REG_FLIP:
         for step in steps:
-            region = f"region:{profile.region_at(step)}"
+            region = f"region:{trace.region_at(step)}"
             for target in range(NUM_REGS):
                 for bit in spec.bits:
                     yield FaultSpec(model=model, trigger_step=step,
@@ -119,7 +120,7 @@ def enumerate_step_model(spec: ExhaustiveSpec, model: str,
     elif model == INSTR_SKIP:
         for step in steps:
             yield FaultSpec(model=model, trigger_step=step,
-                            region=f"region:{profile.region_at(step)}")
+                            region=f"region:{trace.region_at(step)}")
     else:  # pragma: no cover - guarded by callers
         raise FaultSimError(f"{model} is not a step-triggered model")
 

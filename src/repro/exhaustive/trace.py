@@ -1,26 +1,20 @@
-"""Golden-state capture: one reference run, snapshotted for forking.
+"""Golden-state capture for forking, and the forks' shared step budget.
 
 The exhaustive mapper's cost model hinges on never re-running the golden
-prefix: a :class:`GoldenTrace` records, from a single stable-power
-reference execution, the per-step program counters and region ids (what
-the reduction passes reason over) plus a :class:`~repro.runtime.machine.
-MachineSnapshot` every ``snapshot_stride`` steps (what injected forks
-restore from).  A fault triggered at step ``s`` costs
-``s mod stride`` catch-up steps plus its post-injection tail instead of
-``s`` steps of golden prefix.
+prefix: the shared :func:`~repro.runtime.golden.capture_trace`, given a
+``snapshot_stride``, records a :class:`~repro.runtime.machine.
+MachineSnapshot` every ``stride`` steps next to the per-step pcs and the
+MARK-commit region entries the reduction passes reason over.  A fault
+triggered at step ``s`` costs ``s mod stride`` catch-up steps plus its
+post-injection tail instead of ``s`` steps of golden prefix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from ..runtime.golden import GoldenTrace, capture_trace
 
-from ..faultsim.explorer import ExecutionProfile
-from ..faultsim.models import FaultSimError
-from ..runtime import Machine, MachineSnapshot
-
-#: Stable-power capture stop: no bundled workload iteration comes close.
-_TRACE_STEP_CAP = 500_000
+__all__ = ["GoldenTrace", "HANG_SLACK_STEPS", "capture_trace",
+           "fork_budget"]
 
 #: Post-injection step allowance beyond the doubled golden length.  A
 #: fork that has not halted after twice the golden run plus this slack
@@ -28,63 +22,10 @@ _TRACE_STEP_CAP = 500_000
 HANG_SLACK_STEPS = 256
 
 
-@dataclass
-class GoldenTrace:
-    """One fault-free reference execution, indexed for forking.
+def fork_budget(trace: GoldenTrace) -> int:
+    """The absolute step allowance every injected fork runs under.
 
-    ``pcs[s]`` is the program counter *before* step ``s`` executes;
-    ``snapshots[k]`` is the machine state before step ``k * stride``.
-    ``budget`` is the absolute step allowance every injected fork runs
-    under — identical for all forks of one victim, so hang classification
-    cannot depend on which snapshot a fork happened to start from.
+    Identical for all forks of one victim, so hang classification cannot
+    depend on which snapshot a fork happened to start from.
     """
-
-    pcs: List[int]
-    profile: ExecutionProfile
-    snapshots: List[MachineSnapshot]
-    stride: int
-    golden_out: Tuple[int, ...]
-    golden_steps: int
-    golden_cycles: int
-    budget: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        if not self.budget:
-            self.budget = 2 * self.golden_steps + HANG_SLACK_STEPS
-
-    def snapshot_before(self, step: int) -> MachineSnapshot:
-        """The nearest captured state at or before ``step``."""
-        return self.snapshots[min(step // self.stride,
-                                  len(self.snapshots) - 1)]
-
-
-def capture_trace(linked, snapshot_stride: int,
-                  max_steps: int = _TRACE_STEP_CAP) -> GoldenTrace:
-    """Run one stable-power reference execution, recording everything.
-
-    Single-steps the reference interpreter (the semantics oracle both
-    backends match byte-for-byte), so the trace is valid for forks
-    resumed under either backend.
-    """
-    machine = Machine(linked)
-    pcs: List[int] = []
-    regions: List[int] = []
-    snapshots: List[MachineSnapshot] = []
-    while not machine.halted and len(pcs) < max_steps:
-        if len(pcs) % snapshot_stride == 0:
-            snapshots.append(machine.snapshot())
-        pcs.append(machine.pc)
-        regions.append(machine.read_word("__region_cur"))
-        machine.step()
-    if not machine.halted:
-        raise FaultSimError(
-            f"golden capture did not halt within {max_steps} steps")
-    return GoldenTrace(
-        pcs=pcs,
-        profile=ExecutionProfile(regions=regions),
-        snapshots=snapshots,
-        stride=snapshot_stride,
-        golden_out=tuple(machine.committed_out),
-        golden_steps=machine.instr_count,
-        golden_cycles=machine.cycles,
-    )
+    return 2 * trace.golden_steps + HANG_SLACK_STEPS

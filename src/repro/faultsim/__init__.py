@@ -29,11 +29,9 @@ from .classify import (
 )
 from .explorer import (
     DEFAULT_POINTS,
-    ExecutionProfile,
     FaultCampaign,
     FaultCampaignSpec,
     fault_victim,
-    profile_execution,
     run_fault_campaign,
     scheme_comparison,
 )
@@ -58,12 +56,12 @@ from .report import InjectionRecord, VulnerabilityMap
 
 __all__ = [
     "CKPT_CORRUPT", "CKPT_MODELS", "CKPT_TRUNCATE", "CORRUPTION_OUTCOMES",
-    "DEFAULT_POINTS", "ExecutionProfile", "FAULT_MODELS", "FaultCampaign",
+    "DEFAULT_POINTS", "FAULT_MODELS", "FaultCampaign",
     "FaultCampaignSpec", "FaultInjector", "FaultSimError", "FaultSpec",
     "IMAGE_PREFIX_WORDS", "INSTR_SKIP", "InjectionRecord", "OUTCOME_ORDER",
     "Outcome", "REG_FLIP", "SIGNAL_DROP", "SIGNAL_MODELS",
     "SIGNAL_SPURIOUS", "STEP_MODELS", "VulnerabilityMap", "classify",
     "detection_signals", "fault_victim", "golden_pattern",
-    "image_word_label", "profile_execution", "run_fault_campaign",
+    "image_word_label", "run_fault_campaign",
     "scheme_comparison",
 ]

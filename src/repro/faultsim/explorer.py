@@ -5,9 +5,10 @@ ARMORY's lesson is that fault *campaigns* — sweeps over the full
 fault-tolerant firmware, not single hand-picked glitches.  This module
 turns that sweep into campaign data:
 
-* :func:`profile_execution` runs the victim once on stable power and
-  records which idempotent region every instruction belongs to, so
-  step-triggered faults carry a plan-time region attribution;
+* :meth:`FaultCampaignSpec.plan` reads the shared golden run
+  (:func:`repro.runtime.golden.capture_trace`) for the step range and
+  the idempotent region (or live ISR) at every step, so step-triggered
+  faults carry a plan-time attribution;
 * :class:`FaultCampaignSpec` deterministically expands (seeded RNG) into
   a list of :class:`~repro.faultsim.models.FaultSpec` injections and an
   :class:`~repro.eval.campaign.ExperimentSpec` whose sweep axis is the
@@ -15,13 +16,13 @@ turns that sweep into campaign data:
 * :func:`run_fault_campaign` rides the existing
   :class:`~repro.eval.campaign.CampaignRunner` — worker pool, compile
   cache, baseline dedup — so the golden fault-free reference is computed
-  once and shared, then classifies every outcome into a
+  once and shared, then classifies every outcome
+  (:func:`classify_outcomes`, shared with the exhaustive mapper) into a
   :class:`~repro.faultsim.report.VulnerabilityMap`.
 """
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,9 +37,9 @@ from ..eval.campaign import (
 from ..eval.common import VictimConfig
 from ..eval.resilient import RetryPolicy
 from ..isa.operands import NUM_REGS
-from ..runtime import Machine
+from ..runtime.golden import GoldenTrace, capture_trace
 from ..seeds import spawn_rng
-from .classify import classify, golden_pattern
+from .classify import Outcome, classify, golden_pattern
 from .models import (
     CKPT_CORRUPT,
     CKPT_TRUNCATE,
@@ -61,9 +62,6 @@ DEFAULT_POINTS = 50
 #: Bus events kept per injection record (the "what led up to it" excerpt).
 EXCERPT_EVENTS = 12
 
-#: Stable-power profiling stop: no bundled workload iteration comes close.
-_PROFILE_STEP_CAP = 500_000
-
 
 def fault_victim(workload: str = "crc16", scheme: str = "nvp",
                  duration_s: float = 0.25, **overrides) -> VictimConfig:
@@ -79,76 +77,6 @@ def fault_victim(workload: str = "crc16", scheme: str = "nvp",
         outage_duty=0.4, outage_power_w=8e-3, sleep_min_s=1e-3, quantum=64,
     )
     return victim.with_overrides(**overrides) if overrides else victim
-
-
-@dataclass
-class ExecutionProfile:
-    """Region occupancy of one stable-power reference execution.
-
-    Region ids change only at MARK commits, so the per-step list collapses
-    into a handful of runs; queries bisect the run boundaries (the same
-    O(log n) treatment ``AttackSchedule.source_at`` got) instead of
-    indexing a step-sized list per lookup.
-    """
-
-    regions: List[int] = field(default_factory=list)
-    #: ISR activations of the profiling run: (vector, entry, exit) step
-    #: ranges, entry-ordered.  Empty for programs without peripherals.
-    isr_spans: List[Tuple[int, int, int]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        starts: List[int] = []
-        values: List[int] = []
-        for step, region in enumerate(self.regions):
-            if not values or region != values[-1]:
-                starts.append(step)
-                values.append(region)
-        self._starts = starts
-        self._values = values
-
-    @property
-    def total_steps(self) -> int:
-        return len(self.regions)
-
-    def region_at(self, step: int) -> int:
-        """The last-committed region when instruction ``step`` executes."""
-        if not self.regions:
-            return 0
-        step %= len(self.regions)
-        return self._values[bisect.bisect_right(self._starts, step) - 1]
-
-    def isr_at(self, step: int) -> Optional[int]:
-        """The vector whose handler is live at ``step``, if any."""
-        if self.regions:
-            step %= len(self.regions)
-        for vector, entry, exit_ in self.isr_spans:
-            if entry <= step < exit_:
-                return vector
-        return None
-
-    def isr_steps(self) -> int:
-        """Total profiled steps spent inside ISR activations."""
-        return sum(exit_ - entry for _, entry, exit_ in self.isr_spans)
-
-
-def profile_execution(linked,
-                      max_steps: int = _PROFILE_STEP_CAP) -> ExecutionProfile:
-    """One fault-free iteration, recording the region at every step."""
-    machine = Machine(linked)
-    regions: List[int] = []
-    while not machine.halted and len(regions) < max_steps:
-        regions.append(machine.read_word("__region_cur"))
-        machine.step()
-    if not machine.halted:
-        raise FaultSimError(
-            f"profiling run did not halt within {max_steps} steps")
-    spans: List[Tuple[int, int, int]] = []
-    if machine._periph is not None:
-        for span in machine._periph.trace:
-            exit_step = span.exit_step if span.closed \
-                else machine.instr_count
-            spans.append((span.vector, span.entry_step, exit_step))
-    return ExecutionProfile(regions=regions, isr_spans=spans)
 
 
 @dataclass
@@ -185,14 +113,14 @@ class FaultCampaignSpec:
     # ------------------------------------------------------------------
     def plan(self, compiled=None) -> List[FaultSpec]:
         """The deterministic injection list (the campaign's sweep axis)."""
-        profile: Optional[ExecutionProfile] = None
+        trace: Optional[GoldenTrace] = None
         if any(model in STEP_MODELS for model in self.models):
             compiled = compiled or self.victim.compile()
-            profile = profile_execution(compiled.linked)
-            if self.isr_window and not profile.isr_spans:
+            trace = capture_trace(compiled.linked)
+            if self.isr_window and not trace.isr_spans:
                 raise FaultSimError(
                     f"isr_window campaign on {self.victim.workload!r}, but "
-                    f"its profiling run delivered no interrupts")
+                    f"its golden run delivered no interrupts")
         duration = self.victim.duration_s
         plan: List[FaultSpec] = []
         seen = set()
@@ -202,7 +130,7 @@ class FaultCampaignSpec:
             # lengths or orders can never correlate the draws.
             rng = spawn_rng(self.seed, "faultsim", "model", model)
             for index in range(self.points):
-                fault = self._draw(model, index, rng, profile, duration)
+                fault = self._draw(model, index, rng, trace, duration)
                 # The RNG samples with replacement; a repeated draw is the
                 # same injection and would be simulated (and counted) twice.
                 if fault not in seen:
@@ -211,15 +139,15 @@ class FaultCampaignSpec:
         return plan
 
     def _draw(self, model: str, index: int, rng: random.Random,
-              profile: Optional[ExecutionProfile],
+              trace: Optional[GoldenTrace],
               duration: float) -> FaultSpec:
         if model in STEP_MODELS:
             if self.isr_window:
-                step = self._draw_isr_step(rng, profile)
-                region = f"isr:{profile.isr_at(step)}"
+                step = self._draw_isr_step(rng, trace)
+                region = f"isr:{trace.isr_at(step)}"
             else:
-                step = rng.randrange(profile.total_steps)
-                region = f"region:{profile.region_at(step)}"
+                step = rng.randrange(trace.golden_steps)
+                region = f"region:{trace.region_at(step)}"
             if model == REG_FLIP:
                 return FaultSpec(model=model, trigger_step=step,
                                  target=rng.randrange(NUM_REGS),
@@ -245,15 +173,15 @@ class FaultCampaignSpec:
         return FaultSpec(model=model, trigger_time_s=t, region="signal")
 
     def _draw_isr_step(self, rng: random.Random,
-                       profile: ExecutionProfile) -> int:
+                       trace: GoldenTrace) -> int:
         """One step uniform over the union of ISR activation ranges."""
-        flat = rng.randrange(max(1, profile.isr_steps()))
-        for _, entry, exit_ in profile.isr_spans:
-            width = exit_ - entry
+        flat = rng.randrange(max(1, trace.isr_steps()))
+        for span in trace.isr_spans:
+            width = span.exit_step - span.entry_step
             if flat < width:
-                return entry + flat
+                return span.entry_step + flat
             flat -= width
-        return profile.isr_spans[-1][1]
+        return trace.isr_spans[-1].entry_step
 
     def experiment_spec(self,
                         plan: Optional[Sequence[FaultSpec]] = None,
@@ -312,19 +240,30 @@ def run_fault_campaign(spec: FaultCampaignSpec, workers: int = 1,
 
     vmap = VulnerabilityMap(scheme=spec.victim.scheme,
                             workload=spec.victim.workload, seed=spec.seed)
+    for fault, verdict, error, events in classify_outcomes(campaign):
+        vmap.add(fault, verdict, error=error, events=events)
+    return FaultCampaign(spec=spec, map=vmap, campaign=campaign)
+
+
+def classify_outcomes(campaign: CampaignResult
+                      ) -> List[Tuple[FaultSpec, Outcome, Optional[str],
+                                      List[dict]]]:
+    """Classify every injection of a fault-sweep campaign against its
+    golden baseline: ``(fault, verdict, error, event excerpt)`` per
+    outcome, in campaign order."""
+    classified = []
     for outcome in campaign.outcomes:
-        fault = outcome.params["fault"]
         if outcome.baseline is None:
             raise FaultSimError(
                 f"golden reference failed: "
                 f"{campaign.baselines[0].error or 'missing baseline'}")
         events = outcome.result.events[-EXCERPT_EVENTS:] \
             if outcome.result is not None else []
-        vmap.add(fault,
-                 classify(outcome.result, outcome.baseline, outcome.error,
-                          error_kind=outcome.error_kind),
-                 error=outcome.error, events=events)
-    return FaultCampaign(spec=spec, map=vmap, campaign=campaign)
+        verdict = classify(outcome.result, outcome.baseline, outcome.error,
+                           error_kind=outcome.error_kind)
+        classified.append((outcome.params["fault"], verdict, outcome.error,
+                           events))
+    return classified
 
 
 def scheme_comparison(workload: str = "crc16",

@@ -10,23 +10,14 @@ under the interpreter and the threaded backend.  This package provides:
   four cycle-driven peripheral models (timer, sensor ADC, GPIO edge
   detector, DMA engine), all of whose state lives in linker-allocated
   NVM words so checkpoint/rollback machinery sees it for free;
-* :mod:`~repro.periph.attack` — golden-trace extraction and the
-  ISR-aware attack vocabulary: EMI bursts phase-locked to interrupt
-  arrival, and fault injections targeted inside handler bodies.
+* :mod:`~repro.periph.attack` — the ISR-aware attack vocabulary: EMI
+  bursts phase-locked to the interrupt arrivals of the golden run.
 """
 
-from .attack import (
-    MCU_CLOCK_HZ,
-    PeriphError,
-    isr_arrivals,
-    isr_fault_specs,
-    isr_trace,
-    phase_locked_windows,
-    spans_seconds,
-)
+from .attack import MCU_CLOCK_HZ, isr_arrivals, phase_locked_windows
 from .hub import IsrSpan, PeriphHub
 
 __all__ = [
-    "IsrSpan", "MCU_CLOCK_HZ", "PeriphError", "PeriphHub", "isr_arrivals",
-    "isr_fault_specs", "isr_trace", "phase_locked_windows", "spans_seconds",
+    "IsrSpan", "MCU_CLOCK_HZ", "PeriphHub", "isr_arrivals",
+    "phase_locked_windows",
 ]

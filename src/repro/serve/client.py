@@ -127,14 +127,26 @@ class ServeClient:
     def subscribe(self, kinds: Optional[Sequence[str]] = None,
                   limit: Optional[int] = None,
                   timeout: Optional[float] = None) -> Iterator[dict]:
-        """Yield server events as dicts until ``limit`` events arrive,
-        the timeout lapses, or the server goes away."""
+        """Subscribe to server events, then yield them as dicts until
+        ``limit`` events arrive, the timeout lapses, or the server goes
+        away.
+
+        Returns once the server has acknowledged the subscription, so no
+        event emitted after the call returns is missed.
+        """
         sock = connect(self.address, timeout=timeout or self.timeout)
         try:
             send_message(sock, {"op": "subscribe",
                                 "kinds": list(kinds) if kinds else None})
             reader = sock.makefile("r")
             self._checked(recv_message(reader))
+        except BaseException:
+            sock.close()
+            raise
+        return self._stream(sock, reader, limit)
+
+    def _stream(self, sock, reader, limit: Optional[int]) -> Iterator[dict]:
+        try:
             count = 0
             while limit is None or count < limit:
                 try:

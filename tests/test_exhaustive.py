@@ -254,12 +254,12 @@ class TestSpace:
         trace = capture_trace(crc16_nvp.linked, snapshot_stride=64)
         spec = ExhaustiveSpec(victim=fault_victim("crc16"),
                               start_step=10, slice_steps=3, bits=(0, 31))
-        flips = list(enumerate_step_model(spec, REG_FLIP, trace.profile))
+        flips = list(enumerate_step_model(spec, REG_FLIP, trace))
         assert len(flips) == 3 * 16 * 2
         assert len(set(flips)) == len(flips)
         assert flips == sorted(
             flips, key=lambda f: (f.trigger_step, f.target, f.bit))
-        skips = list(enumerate_step_model(spec, INSTR_SKIP, trace.profile))
+        skips = list(enumerate_step_model(spec, INSTR_SKIP, trace))
         assert [f.trigger_step for f in skips] == [10, 11, 12]
 
     def test_time_grids_are_deterministic(self):

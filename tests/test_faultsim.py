@@ -33,6 +33,7 @@ from repro.faultsim import (
     run_fault_campaign,
 )
 from repro.runtime import SimResult
+from repro.runtime.golden import GoldenTrace
 
 
 # ----------------------------------------------------------------------
@@ -256,6 +257,12 @@ class TestVulnerabilityMap:
 # ----------------------------------------------------------------------
 # Deterministic planning.
 # ----------------------------------------------------------------------
+def _golden_trace(steps, marks):
+    return GoldenTrace(pcs=[0] * steps, marks=marks, isr_spans=[],
+                       golden_out=(), golden_steps=steps,
+                       golden_cycles=10 * steps)
+
+
 class TestPlanning:
     def test_same_seed_same_plan(self):
         spec = FaultCampaignSpec(points=5, models=(CKPT_CORRUPT,
@@ -291,20 +298,19 @@ class TestPlanning:
         assert len(plan) < 200
 
     def test_region_at_matches_linear_scan(self):
-        from repro.faultsim.explorer import ExecutionProfile
-
         regions = [0] * 7 + [1] * 3 + [2] * 1 + [1] * 5
-        profile = ExecutionProfile(regions=regions)
+        # One entry per MARK commit, including one that re-commits the
+        # current region (step 13).
+        marks = [(7, 70, 1), (10, 100, 2), (11, 110, 1), (13, 130, 1)]
+        trace = _golden_trace(steps=len(regions), marks=marks)
         for step in range(len(regions)):
-            assert profile.region_at(step) == regions[step]
+            assert trace.region_at(step) == regions[step]
         # Steps past the end wrap around (the run loops on real hardware).
-        assert profile.region_at(len(regions)) == regions[0]
-        assert profile.region_at(len(regions) + 9) == regions[9]
+        assert trace.region_at(len(regions)) == regions[0]
+        assert trace.region_at(len(regions) + 9) == regions[9]
 
     def test_region_at_empty_profile_is_region_zero(self):
-        from repro.faultsim.explorer import ExecutionProfile
-
-        assert ExecutionProfile(regions=[]).region_at(123) == 0
+        assert _golden_trace(steps=0, marks=[]).region_at(123) == 0
 
 
 # ----------------------------------------------------------------------

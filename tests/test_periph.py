@@ -14,7 +14,7 @@ Covers the contracts the reactive suite rests on:
   re-delivery after an NVP-style rollback into stale frames;
 * the ISR-aware fault and attack planners (:mod:`repro.periph.attack`,
   :class:`~repro.faultsim.FaultCampaignSpec` ``isr_window``,
-  :mod:`repro.adversary.isrspace`).
+  :mod:`repro.adversary.isrspace`) over the golden run's ISR spans.
 """
 
 import random
@@ -31,16 +31,10 @@ from repro.adversary import (
 from repro.core import compile_scheme
 from repro.errors import CompileError, ParseError, SemanticError
 from repro.faultsim import FaultCampaignSpec, FaultSimError, fault_victim
-from repro.faultsim.explorer import profile_execution
 from repro.isa.program import ISR_SOURCES, PERIPH_CONTROL_SYMBOLS
-from repro.periph import (
-    PeriphError,
-    isr_arrivals,
-    isr_fault_specs,
-    isr_trace,
-    phase_locked_windows,
-)
+from repro.periph import isr_arrivals, phase_locked_windows
 from repro.runtime import Machine
+from repro.runtime.golden import capture_trace
 from repro.workloads import (
     KERNEL,
     REACTIVE,
@@ -382,25 +376,25 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 class TestIsrFaultPlanning:
     def test_profile_records_isr_spans(self, glucose_nvp):
-        profile = profile_execution(glucose_nvp.linked)
-        assert len(profile.isr_spans) >= 24
-        assert profile.isr_steps() > 0
-        vector, entry, exit_ = profile.isr_spans[0]
-        assert vector == 1  # adc
-        assert profile.isr_at(entry) == 1
-        assert profile.isr_at(exit_) in (None, 1)
+        trace = capture_trace(glucose_nvp.linked)
+        assert len(trace.isr_spans) >= 24
+        assert trace.isr_steps() > 0
+        span = trace.isr_spans[0]
+        assert span.vector == 1  # adc
+        assert trace.isr_at(span.entry_step) == 1
+        assert trace.isr_at(span.exit_step) in (None, 1)
 
     def test_isr_window_campaign_targets_handlers(self):
         spec = FaultCampaignSpec(
             victim=fault_victim(workload="glucose", duration_s=0.02),
             models=("reg_flip", "instr_skip"), points=6, seed=3,
             isr_window=True)
-        profile = profile_execution(spec.victim.compile().linked)
+        trace = capture_trace(spec.victim.compile().linked)
         plan = spec.plan()
         assert plan
         for fault in plan:
             assert fault.region.startswith("isr:")
-            assert profile.isr_at(fault.trigger_step) is not None
+            assert trace.isr_at(fault.trigger_step) is not None
 
     def test_isr_window_rejects_non_reactive_victims(self):
         spec = FaultCampaignSpec(
@@ -409,24 +403,10 @@ class TestIsrFaultPlanning:
         with pytest.raises(FaultSimError, match="no interrupts"):
             spec.plan()
 
-    def test_isr_fault_specs_land_inside_spans(self, glucose_nvp):
-        spans, _ = isr_trace(glucose_nvp.linked)
-        specs = isr_fault_specs(spans, points=8, seed=1)
-        assert specs
-        ranges = [(s.entry_step, s.exit_step) for s in spans]
-        for spec in specs:
-            assert spec.region == "isr:1"
-            assert any(a <= spec.trigger_step < b for a, b in ranges)
-
-    def test_isr_fault_specs_need_step_models(self, glucose_nvp):
-        spans, _ = isr_trace(glucose_nvp.linked)
-        with pytest.raises(PeriphError, match="step-triggered"):
-            isr_fault_specs(spans, points=1, models=("ckpt_corrupt",))
-
-    def test_isr_trace_requires_peripherals(self):
+    def test_isr_attack_space_requires_interrupts(self):
         linked = compile_scheme(source("crc16"), "nvp").linked
-        with pytest.raises(PeriphError, match="no peripherals"):
-            isr_trace(linked)
+        with pytest.raises(AdversaryError, match="no interrupts"):
+            isr_attack_space(linked, duration_s=0.02)
 
 
 # ----------------------------------------------------------------------
@@ -472,6 +452,7 @@ class TestIsrPhaseSpace:
             IsrPhaseSpace(arrivals=(), bounds={})
 
     def test_arrivals_filter_by_vector(self, glucose_nvp):
-        spans, cycles = isr_trace(glucose_nvp.linked)
+        trace = capture_trace(glucose_nvp.linked)
+        spans, cycles = trace.isr_spans, trace.golden_cycles
         assert isr_arrivals(spans, cycles, vector=0) == ()
         assert len(isr_arrivals(spans, cycles, vector=1)) == len(spans)

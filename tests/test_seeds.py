@@ -6,14 +6,13 @@ torture cases) must draw its child streams through
 :func:`repro.seeds.spawn_seed`, never arithmetic on the root seed —
 overlapping derived integers feed identical Mersenne Twister streams
 and silently collapse a sweep's dimensionality.  The consumer-level
-tests lock the audited call sites (faultsim explorer, ISR attack
-planner, adversary strategies) onto spawned streams for good.
+tests lock the audited call sites (faultsim explorer, including its
+ISR-window draws, and adversary strategies) onto spawned streams for
+good.
 """
 
 import pytest
 
-from repro.periph.attack import isr_fault_specs
-from repro.periph.hub import IsrSpan
 from repro.seeds import spawn_rng, spawn_seed
 
 
@@ -60,23 +59,27 @@ class TestSpawn:
         assert not any(a == b for a, b in zip(draws_lo, draws_hi))
 
 
-def _spans():
-    return [IsrSpan(vector=1, entry_step=100, entry_cycles=200,
-                    exit_step=180, exit_cycles=360),
-            IsrSpan(vector=2, entry_step=400, entry_cycles=800,
-                    exit_step=520, exit_cycles=1040)]
-
-
 class TestConsumerStreams:
     def test_isr_fault_models_draw_independent_streams(self):
-        """Per-model spawned streams: growing one model's draw count
-        must not shift the other model's draws."""
-        few = isr_fault_specs(_spans(), points=3, seed=9)
-        many = isr_fault_specs(_spans(), points=6, seed=9)
-        few_skip = [s.trigger_step for s in few if s.model == "instr_skip"]
-        many_skip = [s.trigger_step for s in many
-                     if s.model == "instr_skip"]
-        assert many_skip[:len(few_skip)] == few_skip
+        """Per-model spawned streams: growing the reg_flip draw count
+        (three RNG calls per draw) must not shift the ISR-window
+        instr_skip draws that follow it."""
+        from repro.faultsim.explorer import FaultCampaignSpec, fault_victim
+
+        victim = fault_victim(workload="glucose", duration_s=0.02)
+        compiled = victim.compile()
+
+        def skips(points):
+            spec = FaultCampaignSpec(victim=victim,
+                                     models=("reg_flip", "instr_skip"),
+                                     points=points, seed=9,
+                                     isr_window=True)
+            return [s.trigger_step for s in spec.plan(compiled)
+                    if s.model == "instr_skip"]
+
+        few, many = skips(3), skips(6)
+        assert few
+        assert many[:len(few)] == few
 
     def test_strategies_with_one_root_seed_diverge(self):
         from repro.adversary.space import AttackSpace

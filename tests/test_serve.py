@@ -256,13 +256,9 @@ class TestServer:
     def test_subscribe_streams_serving_events(self, server):
         _, client = server
         events = []
-
-        def listen():
-            events.extend(client.subscribe(
-                kinds=["serve.queued", "serve.done"], limit=2,
-                timeout=60.0))
-
-        listener = threading.Thread(target=listen)
+        stream = client.subscribe(kinds=["serve.queued", "serve.done"],
+                                  limit=2, timeout=60.0)
+        listener = threading.Thread(target=lambda: events.extend(stream))
         listener.start()
         client.submit([_fast_run(freq=35.0)])
         listener.join(timeout=60.0)

@@ -5,6 +5,7 @@ import pytest
 from repro import compile_gecko, compile_nvp
 from repro.emi import AttackSchedule, EMISource, device
 from repro.energy import Capacitor, PowerSystem, SquareWaveHarvester
+from repro.obs import Observability
 from repro.runtime import (
     IntermittentSimulator,
     Machine,
@@ -115,24 +116,26 @@ class TestTracerUnit:
 
 
 class TestTracerIntegration:
-    def _sim(self, program, attack=None, tracer=None):
+    def _sim(self, program, tracer, attack=None):
         power = PowerSystem(
             capacitor=Capacitor(22e-6),
             harvester=SquareWaveHarvester(on_power_w=6e-3, period_s=0.02,
                                           duty=0.4),
         )
+        obs = Observability.for_tracing()
+        tracer.subscribe(obs.bus)
         return IntermittentSimulator(
             machine=Machine(program.linked),
             runtime=runtime_for(program),
             power=power,
             attack=attack,
             config=SimConfig(quantum=64, sleep_min_s=1e-3),
-            tracer=tracer,
+            obs=obs,
         )
 
     def test_benign_run_records_duty_cycle(self):
         tracer = Tracer(sample_period_s=2e-4)
-        sim = self._sim(compile_nvp(SRC), tracer=tracer)
+        sim = self._sim(compile_nvp(SRC), tracer)
         result = sim.run(0.15)
         assert tracer.count("completion") == result.completions
         assert tracer.count("reboot") == result.reboots
@@ -147,9 +150,8 @@ class TestTracerIntegration:
         tracer = Tracer(sample_period_s=2e-4)
         program = compile_gecko(SRC, region_budget=20_000)
         freq = device("TI-MSP430FR5994").adc_curve.peak_frequency()
-        sim = self._sim(program,
-                        attack=AttackSchedule.always(EMISource(freq, 35)),
-                        tracer=tracer)
+        sim = self._sim(program, tracer,
+                        attack=AttackSchedule.always(EMISource(freq, 35)))
         result = sim.run(0.15)
         assert tracer.count("detection") == result.attacks_detected
         assert result.attacks_detected >= 1
